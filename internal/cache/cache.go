@@ -56,8 +56,8 @@ const invalidTag = ^mem.Addr(0)
 // (mirroring arr) so the per-access way scan reads one contiguous run of
 // words instead of striding across the full line records. The tag array
 // is also the sole validity record — a line record is only read when its
-// tag matches — so construction and whole-cache invalidation touch 8
-// bytes per line, not the 88-byte record (the torture fleet builds
+// tag matches — so whole-cache invalidation touches 8 bytes per line of
+// each filled set, not the 88-byte record (the torture fleet builds
 // thousands of short-lived machines and crashes them constantly; zeroing
 // the multi-megabyte L3 record array per campaign dominated its profile).
 type Cache struct {
@@ -77,30 +77,63 @@ type Cache struct {
 // recycle together. Because validity lives solely in the tag array,
 // recycled records may carry stale contents — they are unreachable until
 // an insert overwrites them — so reuse needs no clearing beyond the tags.
+//
+// touched lists the base index of every set that has filled a way since
+// the last reset, and touchedBits holds one bit per tag index so a set
+// is listed once. A reset then invalidates only the listed sets: a crash
+// or a release costs what the campaign touched, not the L3's 128 k tags.
+// The bookkeeping sits on insert's empty-way path only, so lookups pay
+// nothing for it.
 type cacheArrays struct {
-	arr  []line
-	tags []mem.Addr
+	arr         []line
+	tags        []mem.Addr
+	touched     []int32
+	touchedBits []uint64
+}
+
+// markFilled records that the set starting at base filled a way.
+func (a *cacheArrays) markFilled(base int) {
+	w, bit := base>>6, uint64(1)<<(base&63)
+	if a.touchedBits[w]&bit == 0 {
+		a.touchedBits[w] |= bit
+		a.touched = append(a.touched, int32(base))
+	}
+}
+
+// invalidateTouched empties every set filled since the last reset, so
+// the whole tag array is invalidTag again.
+func (a *cacheArrays) invalidateTouched(ways int) {
+	for _, base := range a.touched {
+		tags := a.tags[base : int(base)+ways]
+		for i := range tags {
+			tags[i] = invalidTag
+		}
+		a.touchedBits[base>>6] &^= 1 << (base & 63)
+	}
+	a.touched = a.touched[:0]
 }
 
 // arrPools recycles cacheArrays by line count. Short-lived machines (the
 // torture fleet builds thousands per sweep) otherwise spend more time
-// zeroing fresh multi-megabyte L3 record arrays than simulating.
+// zeroing fresh multi-megabyte L3 record arrays than simulating. Arrays
+// go back to the pool already invalidated.
 var arrPools sync.Map // line count -> *sync.Pool
 
 func getArrays(n int) *cacheArrays {
 	p, ok := arrPools.Load(n)
 	if !ok {
 		p, _ = arrPools.LoadOrStore(n, &sync.Pool{New: func() any {
-			return &cacheArrays{arr: make([]line, n), tags: make([]mem.Addr, n)}
+			a := &cacheArrays{arr: make([]line, n), tags: make([]mem.Addr, n),
+				touchedBits: make([]uint64, (n+63)/64)}
+			fillInvalid(a.tags)
+			return a
 		}})
 	}
-	a := p.(*sync.Pool).Get().(*cacheArrays)
-	fillInvalid(a.tags)
-	return a
+	return p.(*sync.Pool).Get().(*cacheArrays)
 }
 
-// fillInvalid resets a tag array to all-empty. The doubling copy runs at
-// memmove speed, which matters at the L3's 128 k tags.
+// fillInvalid resets a fresh tag array to all-empty. The doubling copy
+// runs at memmove speed, which matters at the L3's 128 k tags.
 func fillInvalid(tags []mem.Addr) {
 	if len(tags) == 0 {
 		return
@@ -126,12 +159,13 @@ func NewCache(cfg Config) *Cache {
 		arr: a.arr, tags: a.tags, pooled: a}
 }
 
-// Release returns the cache's arrays to the pool. The cache must not be
-// used afterwards.
+// Release invalidates the cache's arrays and returns them to the pool.
+// The cache must not be used afterwards.
 func (c *Cache) Release() {
 	if c.pooled == nil {
 		return
 	}
+	c.pooled.invalidateTouched(c.ways)
 	if p, ok := arrPools.Load(len(c.pooled.arr)); ok {
 		p.(*sync.Pool).Put(c.pooled)
 	}
@@ -187,6 +221,8 @@ func (c *Cache) insert(la mem.Addr, data *[mem.LineSize]byte, dirty bool) (*line
 	had := tags[vi] != invalidTag
 	if had {
 		ev = Evicted{Addr: victim.addr, Data: victim.data, Dirty: victim.dirty}
+	} else {
+		c.pooled.markFilled(base)
 	}
 	c.tick++
 	victim.addr, victim.lru, victim.data, victim.dirty = la, c.tick, *data, dirty
@@ -419,14 +455,14 @@ func (h *Hierarchy) ForceWriteBackAll(now sim.Cycle) int {
 }
 
 // InvalidateAll drops every line — the volatile caches at a crash.
-// Only the tag arrays are reset; the stale line records are unreachable
-// once their tags are invalid.
+// Only the tags of sets filled since the last reset are cleared; the
+// stale line records are unreachable once their tags are invalid.
 func (h *Hierarchy) InvalidateAll() {
 	for i := range h.l1 {
-		fillInvalid(h.l1[i].tags)
-		fillInvalid(h.l2[i].tags)
+		h.l1[i].pooled.invalidateTouched(h.l1[i].ways)
+		h.l2[i].pooled.invalidateTouched(h.l2[i].ways)
 	}
-	fillInvalid(h.l3.tags)
+	h.l3.pooled.invalidateTouched(h.l3.ways)
 }
 
 // Release returns every level's arrays to the pool for the next machine.

@@ -327,3 +327,134 @@ func TestNewCacheClampsTinyGeometry(t *testing.T) {
 		t.Errorf("value lost in tiny hierarchy: %d", v)
 	}
 }
+
+// invalidationGeometries covers power-of-two set counts, a
+// non-power-of-two L3 (48 sets), and 1-way and 16-way levels.
+var invalidationGeometries = []HierarchyConfig{
+	smallConfig(),
+	{
+		L1: Config{Name: "L1", Size: 512, Ways: 1, Latency: 4},        // 8 sets, direct-mapped
+		L2: Config{Name: "L2", Size: 4 << 10, Ways: 8, Latency: 12},   // 8 sets
+		L3: Config{Name: "L3", Size: 48 << 10, Ways: 16, Latency: 28}, // 48 sets
+	},
+	{
+		L1: Config{Name: "L1", Size: 2 << 10, Ways: 16, Latency: 4},   // 2 sets
+		L2: Config{Name: "L2", Size: 3 << 10, Ways: 1, Latency: 12},   // 48 sets, direct-mapped
+		L3: Config{Name: "L3", Size: 64 << 10, Ways: 16, Latency: 28}, // 64 sets
+	},
+}
+
+// caches lists every level of h.
+func (h *Hierarchy) caches() []*Cache {
+	out := append(append([]*Cache{}, h.l1...), h.l2...)
+	return append(out, h.l3)
+}
+
+// randomTraffic fills random lines of a span several times each level's
+// size through every core, returning each access's latency and value.
+func randomTraffic(h *Hierarchy, cores int, seed int64) []mem.Word {
+	rng := rand.New(rand.NewSource(seed))
+	var out []mem.Word
+	for i := 0; i < 4000; i++ {
+		core := rng.Intn(cores)
+		addr := mem.Addr(core<<24 + rng.Intn(1<<17)*8)
+		now := sim.Cycle(i)
+		if rng.Intn(3) == 0 {
+			old, lat := h.Store(core, addr, mem.Word(rng.Int63()), now)
+			out = append(out, old, mem.Word(lat))
+		} else {
+			v, lat := h.Load(core, addr, now)
+			out = append(out, v, mem.Word(lat))
+		}
+	}
+	return out
+}
+
+func assertAllInvalid(t *testing.T, what string, tags []mem.Addr) {
+	t.Helper()
+	for i, tag := range tags {
+		if tag != invalidTag {
+			t.Fatalf("%s: tag %d = %#x after reset, want invalid", what, i, uint64(tag))
+		}
+	}
+}
+
+// Invalidation clears only the sets filled since the last reset; every
+// tag of every array must nonetheless read invalid afterwards, whether
+// the reset was a crash (InvalidateAll) or a release back to the pool.
+func TestInvalidationClearsEveryTag(t *testing.T) {
+	for gi, cfg := range invalidationGeometries {
+		b := newBackend()
+		h := NewHierarchy(2, cfg, b.fill, b.writeback)
+		randomTraffic(h, 2, int64(gi))
+		h.InvalidateAll()
+		for _, c := range h.caches() {
+			assertAllInvalid(t, "InvalidateAll "+c.cfg.Name, c.tags)
+		}
+		randomTraffic(h, 2, int64(gi)+100)
+		var released []*cacheArrays
+		for _, c := range h.caches() {
+			released = append(released, c.pooled)
+		}
+		h.Release()
+		for _, a := range released {
+			assertAllInvalid(t, "Release", a.tags)
+			if len(a.touched) != 0 {
+				t.Fatalf("released arrays still list %d touched sets", len(a.touched))
+			}
+		}
+		h2 := NewHierarchy(2, cfg, b.fill, b.writeback)
+		for _, c := range h2.caches() {
+			assertAllInvalid(t, "re-acquired "+c.cfg.Name, c.tags)
+		}
+		h2.Release()
+	}
+}
+
+// withFreshArrays swaps freshly allocated arrays into every level of h,
+// bypassing the pool.
+func withFreshArrays(h *Hierarchy) *Hierarchy {
+	for _, c := range h.caches() {
+		n := len(c.tags)
+		a := &cacheArrays{arr: make([]line, n), tags: make([]mem.Addr, n),
+			touchedBits: make([]uint64, (n+63)/64)}
+		fillInvalid(a.tags)
+		c.pooled, c.arr, c.tags = a, a.arr, a.tags
+	}
+	return h
+}
+
+// A hierarchy built on recycled, crash-invalidated arrays must time and
+// return every access exactly like one built on fresh arrays.
+func TestRecycledArraysMatchFresh(t *testing.T) {
+	for gi, cfg := range invalidationGeometries {
+		pb := newBackend()
+		polluted := NewHierarchy(2, cfg, pb.fill, pb.writeback)
+		randomTraffic(polluted, 2, int64(gi)+7)
+		polluted.InvalidateAll()
+		randomTraffic(polluted, 2, int64(gi)+8)
+		polluted.Release()
+
+		rb, fb := newBackend(), newBackend()
+		recycled := NewHierarchy(2, cfg, rb.fill, rb.writeback)
+		fresh := withFreshArrays(NewHierarchy(2, cfg, fb.fill, fb.writeback))
+		for round := int64(0); round < 2; round++ {
+			got := randomTraffic(recycled, 2, int64(gi)+round)
+			want := randomTraffic(fresh, 2, int64(gi)+round)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("geometry %d round %d: access %d = %#x on recycled arrays, %#x on fresh",
+						gi, round, i/2, uint64(got[i]), uint64(want[i]))
+				}
+			}
+			if len(rb.writebacks) != len(fb.writebacks) {
+				t.Fatalf("geometry %d: %d writebacks on recycled arrays, %d on fresh",
+					gi, len(rb.writebacks), len(fb.writebacks))
+			}
+			recycled.InvalidateAll()
+			fresh.InvalidateAll()
+		}
+		recycled.Release()
+		fresh.Release()
+	}
+}

@@ -1,13 +1,14 @@
 package harness
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"silo/internal/audit"
 	"silo/internal/fault"
 	"silo/internal/machine"
+	"silo/internal/mem"
 	"silo/internal/recovery"
 	"silo/internal/sim"
 	"silo/internal/telemetry"
@@ -254,19 +256,29 @@ func IsInfra(err error) bool {
 // the machine's golden committed shadow and returns the mismatches in
 // address order.
 func VerifyRecovery(m *machine.Machine) []string {
-	words := m.WrittenWords()
-	sort.Slice(words, func(i, j int) bool { return words[i] < words[j] })
-	var bad []string
-	for _, a := range words {
+	type mismatch struct {
+		addr      mem.Addr
+		got, want mem.Word
+	}
+	var bad []mismatch
+	for _, a := range m.WrittenWords() {
 		want, ok := m.GoldenCommitted(a)
 		if !ok {
 			continue
 		}
 		if got, ok := recovery.VerifyWord(m.Device(), a, want); !ok {
-			bad = append(bad, fmt.Sprintf("%v = %#x want %#x", a, uint64(got), uint64(want)))
+			bad = append(bad, mismatch{a, got, want})
 		}
 	}
-	return bad
+	if len(bad) == 0 {
+		return nil
+	}
+	slices.SortFunc(bad, func(x, y mismatch) int { return cmp.Compare(x.addr, y.addr) })
+	out := make([]string, len(bad))
+	for i, b := range bad {
+		out[i] = fmt.Sprintf("%v = %#x want %#x", b.addr, uint64(b.got), uint64(b.want))
+	}
+	return out
 }
 
 // RunCampaign executes one campaign end to end: run until the crash

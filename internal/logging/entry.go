@@ -208,10 +208,13 @@ const (
 	SealCorrupt
 )
 
-// crc16Table drives the byte-at-a-time CRC below; the bit-serial version
-// it replaces was the single hottest function in a torture sweep.
-var crc16Table = func() (t [256]uint16) {
-	for i := range t {
+// crc16Tables drives a slicing-by-8 CRC: crc16Tables[0] is the classic
+// byte-at-a-time table, and crc16Tables[k][v] is the register
+// contribution of byte v followed by k zero bytes, so eight bytes fold
+// in with eight independent lookups. The CRC runs on every sealed record
+// written and on every record a recovery scan reads back.
+var crc16Tables = func() (t [8][256]uint16) {
+	for i := range t[0] {
 		crc := uint16(i) << 8
 		for b := 0; b < 8; b++ {
 			if crc&0x8000 != 0 {
@@ -220,7 +223,13 @@ var crc16Table = func() (t [256]uint16) {
 				crc <<= 1
 			}
 		}
-		t[i] = crc
+		t[0][i] = crc
+	}
+	for k := 1; k < len(t); k++ {
+		for i := range t[k] {
+			v := t[k-1][i]
+			t[k][i] = v<<8 ^ t[0][v>>8]
+		}
 	}
 	return t
 }()
@@ -229,9 +238,14 @@ var crc16Table = func() (t [256]uint16) {
 // for a log-controller datapath, strong enough to catch any torn 8-byte
 // suffix or single bit flip in a ≤29 B record.
 func crc16(b []byte) uint16 {
+	t := &crc16Tables
 	crc := uint16(0xFFFF)
+	for ; len(b) >= 8; b = b[8:] {
+		crc = t[7][b[0]^byte(crc>>8)] ^ t[6][b[1]^byte(crc)] ^
+			t[5][b[2]] ^ t[4][b[3]] ^ t[3][b[4]] ^ t[2][b[5]] ^ t[1][b[6]] ^ t[0][b[7]]
+	}
 	for _, c := range b {
-		crc = crc<<8 ^ crc16Table[byte(crc>>8)^c]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^c]
 	}
 	return crc
 }

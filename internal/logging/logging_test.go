@@ -443,3 +443,28 @@ func TestTruncateResetsSeq(t *testing.T) {
 		t.Errorf("post-truncate generation misread: %+v", res)
 	}
 }
+
+// The checked scan reads each record into a stack buffer: over 1000
+// sealed records, the only allocations are the Images slice's growth,
+// so the count stays within a bound that does not grow with the log.
+func TestScanCheckedAllocatesNothingPerRecord(t *testing.T) {
+	const records = 1000
+	_, w := newRegion(1)
+	images := make([]Image, records)
+	kinds := []ImageKind{ImageUndo, ImageRedo, ImageCommit, ImageUndoRedo}
+	for i := range images {
+		images[i] = Image{Kind: kinds[i%len(kinds)], TxID: uint16(i), Addr: mem.Addr(i * 8),
+			Data: mem.Word(i), Data2: mem.Word(^i)}
+	}
+	w.AppendAtCrash(0, images)
+	var res ScanResult
+	allocs := testing.AllocsPerRun(20, func() { res = w.ScanChecked(0) })
+	if len(res.Images) != records || res.Quarantined != 0 {
+		t.Fatalf("scan read %d records (%d quarantined), want %d", len(res.Images), res.Quarantined, records)
+	}
+	// Images is presized from the head register and may still grow a
+	// few times; a per-record allocation would cost ≥ 1000.
+	if allocs > 16 {
+		t.Errorf("ScanChecked over %d records: %.0f allocs, want ≤ 16", records, allocs)
+	}
+}

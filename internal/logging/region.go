@@ -188,23 +188,36 @@ type ScanResult struct {
 	Quarantined int
 }
 
+// scanWindow is how many bytes of a log area the checked scan reads from
+// the device at once: four media lines, so most records parse straight
+// out of a window read without another device lookup.
+const scanWindow = 4 * mem.LineSize
+
 // ScanChecked parses thread tid's log area from its base, verifying each
 // record's CRC and sequence number, until the clean end of the log or a
 // torn/corrupt record (which is quarantined and terminates the scan).
 // Recovery uses it after a crash; the scan is self-terminating, so it
 // does not depend on the volatile head register surviving the crash.
+//
+// The area is read through a stack window, so the scan allocates nothing
+// but the Images slice. The window always holds a whole record, or
+// everything up to the area end, so each record parses exactly as it
+// would from its own read.
 func (w *RegionWriter) ScanChecked(tid int) ScanResult {
-	var res ScanResult
+	// The head register sizes Images for the common undo/redo record;
+	// it is only a capacity hint, never a bound on what is read.
+	res := ScanResult{Images: make([]Image, 0, w.Used(tid)/(UndoBytes+SealBytes))}
 	addr := w.base[tid]
 	end := w.base[tid] + mem.Addr(w.size[tid])
 	seq := uint8(0)
+	var buf [scanWindow]byte
+	var win []byte // the bytes at addr onward already read
 	for addr < end {
-		n := MaxSealedBytes
-		if rem := int(end - addr); n > rem {
-			n = rem
+		if len(win) < MaxSealedBytes && addr+mem.Addr(len(win)) < end {
+			win = buf[:min(len(buf), int(end-addr))]
+			w.dev.PeekInto(addr, win)
 		}
-		raw := w.dev.Peek(addr, n)
-		im, sz, status := UnsealImage(raw, seq)
+		im, sz, status := UnsealImage(win, seq)
 		if status == SealEnd {
 			break
 		}
@@ -214,6 +227,7 @@ func (w *RegionWriter) ScanChecked(tid int) ScanResult {
 		}
 		res.Images = append(res.Images, im)
 		addr += mem.Addr(sz)
+		win = win[sz:]
 		seq++
 	}
 	return res

@@ -1,14 +1,17 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"silo/internal/audit"
 	"silo/internal/cache"
 	"silo/internal/core"
+	"silo/internal/logging"
 	"silo/internal/mem"
 	"silo/internal/pm"
 	"silo/internal/sim"
+	"silo/internal/stats"
 )
 
 // tinyCacheConfig overflows after 8 distinct lines, so LLC evictions hit
@@ -133,5 +136,62 @@ func TestAuditorCatchesLostCommittedWord(t *testing.T) {
 	}
 	if v.Invariant != audit.InvReconstructible {
 		t.Fatalf("caught by %q, want %q", v.Invariant, audit.InvReconstructible)
+	}
+}
+
+// corruptingDesign logs nothing and, at a crash, overwrites two durable
+// data words — a design that breaks conservation twice in one crash.
+type corruptingDesign struct {
+	env    *logging.Env
+	victim [2]mem.Addr
+}
+
+func (d *corruptingDesign) Name() string                                                 { return "Corrupting" }
+func (d *corruptingDesign) TxBegin(int, sim.Cycle) sim.Cycle                             { return 0 }
+func (d *corruptingDesign) Store(int, mem.Addr, mem.Word, mem.Word, sim.Cycle) sim.Cycle { return 0 }
+func (d *corruptingDesign) TxEnd(int, sim.Cycle) sim.Cycle                               { return 0 }
+func (d *corruptingDesign) CachelineEvicted(sim.Cycle, mem.Addr, [mem.LineSize]byte)     {}
+func (d *corruptingDesign) CollectStats(*stats.Run)                                      {}
+func (d *corruptingDesign) Crash(sim.Cycle) {
+	for _, a := range d.victim {
+		d.env.PM.PokeWord(a, 0xbad)
+	}
+}
+
+// A crash that breaks two durable words must report the same one every
+// time — the first in WrittenWords order, which is first-write order,
+// not address order — so a failing campaign's record is reproducible.
+func TestConservationViolationOrderIsDeterministic(t *testing.T) {
+	first, second := mem.Addr(0x9000), mem.Addr(0x1000) // first written, higher address
+	var want string
+	for run := 0; run < 20; run++ {
+		m := New(Config{
+			Cores: 1,
+			PM:    pm.DefaultConfig(),
+			Cache: cache.DefaultHierarchyConfig(),
+			Design: func(env *logging.Env) logging.Design {
+				return &corruptingDesign{env: env, victim: [2]mem.Addr{second, first}}
+			},
+		})
+		m.Exec(0, sim.Op{Kind: sim.OpTxBegin}, 0)
+		m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: first, Data: 1}, 1)
+		m.Exec(0, sim.Op{Kind: sim.OpStore, Addr: second, Data: 2}, 2)
+		if ww := m.WrittenWords(); len(ww) != 2 || ww[0] != first {
+			t.Fatalf("WrittenWords = %v, want [%v %v]", ww, first, second)
+		}
+		v := auditViolation(t, func() { m.InjectCrash(3) })
+		if v == nil || v.Invariant != audit.InvConservation {
+			t.Fatalf("run %d: double corruption not caught as %s: %+v", run, audit.InvConservation, v)
+		}
+		if run == 0 {
+			want = v.Message
+			if !strings.Contains(want, first.String()) {
+				t.Fatalf("violation %q does not name the first written word %v", want, first)
+			}
+			continue
+		}
+		if v.Message != want {
+			t.Fatalf("run %d reported %q, run 0 reported %q", run, v.Message, want)
+		}
 	}
 }

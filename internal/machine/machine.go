@@ -439,32 +439,40 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 	// Snapshot the durable data region before the crash sequence runs:
 	// power failures must conserve it exactly. Platforms that battery-back
 	// the caches may additionally overwrite a word with a value some core
-	// had stored (the dirty-line flush); nothing else is legal.
-	var before map[mem.Addr]mem.Word
-	var allowed map[mem.Addr][]mem.Word
+	// had stored (the dirty-line flush); nothing else is legal. The
+	// snapshot is kept in WrittenWords order, so the conservation checks
+	// below run, and report a violation, in a deterministic order.
+	var words []mem.Addr
+	var before []mem.Word
+	// allowed[allowedEnd[i-1]:allowedEnd[i]] are words[i]'s legal flush
+	// values (allowedEnd[-1] reads as 0).
+	var allowed []mem.Word
+	var allowedEnd []int
 	m.tel.Crash(now, m.commits, m.opCount)
 	if auditing {
 		m.aud.BeginCrashFlush()
-		before = make(map[mem.Addr]mem.Word)
-		for _, a := range m.WrittenWords() {
-			before[a] = m.dev.PeekWord(a)
+		words = m.WrittenWords()
+		before = make([]mem.Word, len(words))
+		for i, a := range words {
+			before[i] = m.dev.PeekWord(a)
 		}
 		if persistCaches {
-			allowed = make(map[mem.Addr][]mem.Word, len(before))
-			for a := range before {
+			allowedEnd = make([]int, len(words))
+			for i, a := range words {
 				if e := m.shadow.get(a); e != nil {
 					if e.flags&shadowHasBaseline != 0 {
-						allowed[a] = append(allowed[a], e.baseline)
+						allowed = append(allowed, e.baseline)
 					}
 					if e.flags&shadowHasCommitted != 0 {
-						allowed[a] = append(allowed[a], e.committed)
+						allowed = append(allowed, e.committed)
 					}
 				}
 				for c := range m.pending {
 					if v, ok := m.pending[c].get(a); ok {
-						allowed[a] = append(allowed[a], v)
+						allowed = append(allowed, v)
 					}
 				}
+				allowedEnd[i] = len(allowed)
 			}
 		}
 	}
@@ -491,8 +499,14 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 				m.aud.CheckCriticalBudget(c, budget)
 			}
 		}
-		for a, b := range before {
-			m.aud.CheckConservation(a, b, m.dev.PeekWord(a), allowed[a])
+		lo := 0
+		for i, a := range words {
+			var ok []mem.Word
+			if allowedEnd != nil {
+				ok = allowed[lo:allowedEnd[i]]
+				lo = allowedEnd[i]
+			}
+			m.aud.CheckConservation(a, before[i], m.dev.PeekWord(a), ok)
 		}
 	}
 
@@ -512,7 +526,7 @@ func (m *Machine) InjectCrash(now sim.Cycle) {
 	// (strict battery budgets, log media bit flips).
 	if auditing && (m.plan == nil || (!m.plan.StrictBudget && m.plan.BitFlips == 0)) {
 		resolved := recovery.Resolved(m.region)
-		for _, a := range m.WrittenWords() {
+		for _, a := range words {
 			want, ok := m.GoldenCommitted(a)
 			if !ok {
 				continue

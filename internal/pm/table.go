@@ -2,6 +2,7 @@ package pm
 
 import (
 	"math/bits"
+	"slices"
 
 	"silo/internal/mem"
 )
@@ -62,11 +63,14 @@ type mediaSlot struct {
 // mediaTable indexes mediaEntry storage by line address. Lines are never
 // removed, so probing needs no deletion handling. Entry pointers are
 // invalidated by the next getOrInsert (the dense slice may grow); callers
-// must not hold one across inserts.
+// must not hold one across inserts. Entry indices stay valid, so the
+// table remembers the last entry it returned: the eight word pokes of one
+// line during workload setup probe the index once.
 type mediaTable struct {
 	slots   []mediaSlot
 	shift   uint // 64 - log2(len(slots))
 	entries []mediaEntry
+	last    int32 // index + 1 of the entry last returned; 0 = none
 }
 
 func newMediaTable() *mediaTable {
@@ -79,13 +83,17 @@ func (t *mediaTable) home(line mem.Addr) int {
 
 // get returns the entry for line, or nil.
 func (t *mediaTable) get(line mem.Addr) *mediaEntry {
+	if r := t.last; r != 0 && t.entries[r-1].line == line {
+		return &t.entries[r-1]
+	}
 	mask := len(t.slots) - 1
 	for i := t.home(line); ; i = (i + 1) & mask {
-		s := t.slots[i]
+		s := &t.slots[i]
 		if s.ref == 0 {
 			return nil
 		}
 		if s.line == line {
+			t.last = s.ref
 			return &t.entries[s.ref-1]
 		}
 	}
@@ -93,11 +101,15 @@ func (t *mediaTable) get(line mem.Addr) *mediaEntry {
 
 // getOrInsert returns the entry for line, creating a zeroed one if absent.
 func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
+	if r := t.last; r != 0 && t.entries[r-1].line == line {
+		return &t.entries[r-1]
+	}
 	mask := len(t.slots) - 1
 	i := t.home(line)
 	for t.slots[i].ref != 0 {
 		if t.slots[i].line == line {
-			return &t.entries[t.slots[i].ref-1]
+			t.last = t.slots[i].ref
+			return &t.entries[t.last-1]
 		}
 		i = (i + 1) & mask
 	}
@@ -109,9 +121,18 @@ func (t *mediaTable) getOrInsert(line mem.Addr) *mediaEntry {
 			i = (i + 1) & mask
 		}
 	}
-	t.entries = append(t.entries, mediaEntry{line: line})
-	t.slots[i] = mediaSlot{line: line, ref: int32(len(t.entries))}
-	return &t.entries[len(t.entries)-1]
+	// Build the entry in place: appending a composite literal would
+	// assemble the 80-byte entry in a temporary and copy it.
+	n := len(t.entries)
+	if n == cap(t.entries) {
+		t.entries = slices.Grow(t.entries, 1)
+	}
+	t.entries = t.entries[:n+1]
+	e := &t.entries[n]
+	e.line, e.wear, e.data = line, 0, [mem.LineSize]byte{}
+	t.last = int32(n + 1)
+	t.slots[i] = mediaSlot{line: line, ref: t.last}
+	return e
 }
 
 func (t *mediaTable) grow() {
@@ -139,6 +160,7 @@ func (t *mediaTable) grow() {
 func (t *mediaTable) reset() {
 	clear(t.slots)
 	t.entries = t.entries[:0]
+	t.last = 0
 }
 
 // memFootprint approximates the table's retained bytes, so a recycler
