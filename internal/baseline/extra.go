@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"sort"
+	"slices"
 
 	"silo/internal/logging"
 	"silo/internal/mem"
@@ -39,6 +39,7 @@ type SWLog struct {
 	inTx  []bool
 	txid  []uint16
 	txSet []map[mem.Addr]struct{}
+	walk  []mem.Addr // commit flush order, reused by every TxEnd
 	logs  int64
 }
 
@@ -93,7 +94,8 @@ func (s *SWLog) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle)
 func (s *SWLog) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	s.inTx[core] = false
 	t := now
-	for _, la := range sortedAddrs(s.txSet[core]) {
+	s.walk = sortedAddrs(s.walk, s.txSet[core])
+	for _, la := range s.walk {
 		if data, dirty := s.env.Cache.CleanLine(core, la); dirty {
 			t += s.env.PersistPath
 			if accept, _ := s.env.PM.Write(t, la, data[:]); accept > t {
@@ -132,6 +134,7 @@ type UndoHW struct {
 	inTx  []bool
 	txid  []uint16
 	txSet []map[mem.Addr]struct{}
+	walk  []mem.Addr // commit flush order, reused by every TxEnd
 	logs  int64
 }
 
@@ -181,7 +184,8 @@ func (u *UndoHW) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle
 func (u *UndoHW) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	u.inTx[core] = false
 	t := now
-	for _, la := range sortedAddrs(u.txSet[core]) {
+	u.walk = sortedAddrs(u.walk, u.txSet[core])
+	for _, la := range u.walk {
 		if data, dirty := u.env.Cache.CleanLine(core, la); dirty {
 			t += u.env.PersistPath
 			if accept, _ := u.env.PM.Write(t, la, data[:]); accept > t {
@@ -222,6 +226,7 @@ type RedoHW struct {
 	txSet      []map[mem.Addr]struct{}
 	lastAccept []sim.Cycle
 	staged     map[mem.Addr]stagedLine
+	release    []mem.Addr // commit release order, reused by every TxEnd
 	logs       int64
 }
 
@@ -312,14 +317,14 @@ func (r *RedoHW) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	if accept := r.env.Region.Append(t, core, []logging.Image{logging.CommitImage(uint8(core), r.txid[core])}); accept > t {
 		t = accept
 	}
-	var release []mem.Addr
+	r.release = r.release[:0]
 	for la, sl := range r.staged {
 		if sl.owner == core {
-			release = append(release, la)
+			r.release = append(r.release, la)
 		}
 	}
-	sort.Slice(release, func(i, j int) bool { return release[i] < release[j] })
-	for _, la := range release {
+	slices.Sort(r.release)
+	for _, la := range r.release {
 		sl := r.staged[la]
 		r.env.PM.Write(t, la, sl.data[:])
 		delete(r.staged, la)

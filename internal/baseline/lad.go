@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"sort"
+	"slices"
 
 	"silo/internal/logging"
 	"silo/internal/mem"
@@ -42,6 +42,7 @@ type LAD struct {
 	txid  []uint16
 	txSet []map[mem.Addr]struct{} // lines written by the in-flight tx
 	mcBuf map[mem.Addr]ladLine
+	walk  []mem.Addr // commit walk order, reused by every TxEnd
 
 	buffered, released int64
 	overflows          int64
@@ -134,7 +135,8 @@ func (l *LAD) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	t := now
 	// Deterministic order: simulated hardware walks a FIFO of dirty
 	// lines, not a Go map.
-	for _, la := range sortedAddrs(l.txSet[core]) {
+	l.walk = sortedAddrs(l.walk, l.txSet[core])
+	for _, la := range l.walk {
 		if data, dirty := l.env.Cache.CleanLine(core, la); dirty {
 			stall += LADFlushPerLine
 			t += LADFlushPerLine
@@ -144,14 +146,14 @@ func (l *LAD) TxEnd(core int, now sim.Cycle) sim.Cycle {
 	}
 	// Commit: the buffered lines are already durable in the MC's ADR
 	// domain; releasing them to PM happens in the background.
-	var release []mem.Addr
+	l.walk = l.walk[:0]
 	for la, bl := range l.mcBuf {
 		if bl.owner == core {
-			release = append(release, la)
+			l.walk = append(l.walk, la)
 		}
 	}
-	sort.Slice(release, func(i, j int) bool { return release[i] < release[j] })
-	for _, la := range release {
+	slices.Sort(l.walk)
+	for _, la := range l.walk {
 		bl := l.mcBuf[la]
 		l.env.PM.Write(t, la, bl.data[:])
 		delete(l.mcBuf, la)
@@ -188,14 +190,15 @@ func (l *LAD) CollectStats(r *stats.Run) {
 
 // sortedAddrs returns a set's addresses in ascending order, so map-backed
 // write sets iterate deterministically (the hardware they model is a FIFO
-// or CAM, not a hash map).
-func sortedAddrs(set map[mem.Addr]struct{}) []mem.Addr {
-	out := make([]mem.Addr, 0, len(set))
+// or CAM, not a hash map). The result reuses dst's storage, so a design
+// that passes its previous walk back sorts without allocating.
+func sortedAddrs(dst []mem.Addr, set map[mem.Addr]struct{}) []mem.Addr {
+	dst = dst[:0]
 	for a := range set {
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 func wordFrom(b []byte) mem.Word {

@@ -25,6 +25,8 @@ type MorLog struct {
 	bufs []*logging.Buffer
 	inTx []bool
 	txid []uint16
+	// spill holds the entry a staging overflow evicts, reused per spill.
+	spill []logging.Entry
 
 	logs, merged, spilled int64
 }
@@ -70,7 +72,8 @@ func (m *MorLog) Store(core int, addr mem.Addr, old, new mem.Word, now sim.Cycle
 	if buf.Full() {
 		// Staging overflow: spill the oldest entry to the log region in
 		// the background to make room.
-		m.flushEntries(core, now, buf.EvictOldest(1), false)
+		m.spill = buf.EvictOldest(m.spill[:0], 1)
+		m.flushEntries(core, now, m.spill, false)
 		m.spilled++
 	}
 	buf.Append(e)

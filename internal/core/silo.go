@@ -83,6 +83,10 @@ type Silo struct {
 	runScratch []wordKV
 	runs       []wordRun
 	runBytes   []byte
+
+	// Overflow scratch, reused across overflow batches likewise.
+	evicted []logging.Entry
+	images  []logging.Image
 }
 
 var _ logging.Design = (*Silo)(nil)
@@ -203,21 +207,21 @@ func (s *Silo) overflow(core int, now sim.Cycle) {
 	if s.opts.SingleEntryOverflow {
 		n = 1
 	}
-	evicted := st.buf.EvictOldest(n)
-	images := make([]logging.Image, 0, len(evicted))
-	for _, e := range evicted {
+	s.evicted = st.buf.EvictOldest(s.evicted[:0], n)
+	s.images = s.images[:0]
+	for _, e := range s.evicted {
 		if !e.FlushBit {
 			var b [mem.WordSize]byte
 			putWord(b[:], e.New)
 			s.env.PM.Write(now, e.Addr, b[:])
 		}
 		e.FlushBit = true // overflowed undo logs carry flush-bit 1 (§III-G)
-		images = append(images, e.UndoImage())
+		s.images = append(s.images, e.UndoImage())
 	}
-	s.env.Region.Append(now, core, images)
+	s.env.Region.Append(now, core, s.images)
 	st.overflowed = true
 	s.overflows++
-	s.tel.LogOverflow(core, now, len(evicted))
+	s.tel.LogOverflow(core, now, len(s.evicted))
 	s.tel.LogBufOcc(core, now, st.buf.Len(), st.buf.Cap())
 }
 

@@ -96,16 +96,15 @@ func (b *Buffer) Push(e Entry) {
 	b.entries = append(b.entries, e)
 }
 
-// EvictOldest removes and returns up to n entries in FIFO order — the
-// batched overflow eviction of §III-F.
-func (b *Buffer) EvictOldest(n int) []Entry {
-	if n > len(b.entries) {
-		n = len(b.entries)
-	}
-	out := make([]Entry, n)
-	copy(out, b.entries[:n])
+// EvictOldest removes up to n entries in FIFO order — the batched
+// overflow eviction of §III-F — appends them to dst and returns the
+// extended slice. A caller that passes its previous result back as
+// dst[:0] evicts without allocating.
+func (b *Buffer) EvictOldest(dst []Entry, n int) []Entry {
+	n = min(n, len(b.entries))
+	dst = append(dst, b.entries[:n]...)
 	b.entries = append(b.entries[:0], b.entries[n:]...)
-	return out
+	return dst
 }
 
 // Entries returns the live entries in FIFO order (shared backing array;

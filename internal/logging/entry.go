@@ -6,6 +6,7 @@
 package logging
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"silo/internal/mem"
@@ -105,32 +106,27 @@ const (
 )
 
 // Encode serializes the image into buf and returns the bytes written.
-// The layout is fixed so recovery can parse the log region byte stream.
+// The layout is fixed so recovery can parse the log region byte stream:
+// every multi-byte field is little-endian, the address in 6 bytes.
 func (im Image) Encode(buf []byte) int {
 	flags := byte(im.Kind&kindMask) | flagValid
 	if im.FlushBit {
 		flags |= flagFlush
 	}
+	a := uint64(im.Addr & mem.AddrMask48)
 	buf[0] = flags
 	buf[1] = im.TID
-	buf[2] = byte(im.TxID)
-	buf[3] = byte(im.TxID >> 8)
-	a := uint64(im.Addr & mem.AddrMask48)
-	for i := 0; i < 6; i++ {
-		buf[4+i] = byte(a >> (8 * i))
-	}
+	binary.LittleEndian.PutUint16(buf[2:], im.TxID)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(a))
+	binary.LittleEndian.PutUint16(buf[8:], uint16(a>>32))
 	if im.Kind == ImageCommit {
 		return CommitBytes
 	}
-	for i := 0; i < 8; i++ {
-		buf[HeaderBytes+i] = byte(im.Data >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(buf[HeaderBytes:], uint64(im.Data))
 	if im.Kind != ImageUndoRedo {
 		return UndoBytes
 	}
-	for i := 0; i < 8; i++ {
-		buf[HeaderBytes+8+i] = byte(im.Data2 >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(buf[HeaderBytes+8:], uint64(im.Data2))
 	return UndoRedoBytes
 }
 
@@ -148,34 +144,23 @@ func DecodeImage(buf []byte) (im Image, n int, ok bool) {
 	im.Kind = ImageKind(buf[0] & kindMask)
 	im.FlushBit = buf[0]&flagFlush != 0
 	im.TID = buf[1]
-	im.TxID = uint16(buf[2]) | uint16(buf[3])<<8
-	var a uint64
-	for i := 5; i >= 0; i-- {
-		a = a<<8 | uint64(buf[4+i])
-	}
-	im.Addr = mem.Addr(a)
+	im.TxID = binary.LittleEndian.Uint16(buf[2:])
+	im.Addr = mem.Addr(uint64(binary.LittleEndian.Uint32(buf[4:])) |
+		uint64(binary.LittleEndian.Uint16(buf[8:]))<<32)
 	if im.Kind == ImageCommit {
 		return im, CommitBytes, true
 	}
 	if len(buf) < UndoBytes {
 		return Image{}, 0, false
 	}
-	var d mem.Word
-	for i := 7; i >= 0; i-- {
-		d = d<<8 | mem.Word(buf[HeaderBytes+i])
-	}
-	im.Data = d
+	im.Data = mem.Word(binary.LittleEndian.Uint64(buf[HeaderBytes:]))
 	if im.Kind != ImageUndoRedo {
 		return im, UndoBytes, true
 	}
 	if len(buf) < UndoRedoBytes {
 		return Image{}, 0, false
 	}
-	var d2 mem.Word
-	for i := 7; i >= 0; i-- {
-		d2 = d2<<8 | mem.Word(buf[HeaderBytes+8+i])
-	}
-	im.Data2 = d2
+	im.Data2 = mem.Word(binary.LittleEndian.Uint64(buf[HeaderBytes+8:]))
 	return im, UndoRedoBytes, true
 }
 

@@ -147,7 +147,7 @@ func TestBufferCapacityAndEvict(t *testing.T) {
 	if !b.Full() {
 		t.Fatal("buffer should be full")
 	}
-	ev := b.EvictOldest(2)
+	ev := b.EvictOldest(nil, 2)
 	if len(ev) != 2 || ev[0].Addr != 0 || ev[1].Addr != 8 {
 		t.Errorf("evicted %v, want oldest two", ev)
 	}
@@ -155,7 +155,7 @@ func TestBufferCapacityAndEvict(t *testing.T) {
 		t.Errorf("remaining entry wrong")
 	}
 	// Evicting more than available returns what exists.
-	if got := b.EvictOldest(10); len(got) != 1 {
+	if got := b.EvictOldest(nil, 10); len(got) != 1 {
 		t.Errorf("over-evict returned %d entries", len(got))
 	}
 }

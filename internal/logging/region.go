@@ -24,6 +24,7 @@ type RegionWriter struct {
 	base    []mem.Addr
 	size    []uint64
 	seq     []uint8 // next record sequence number per thread (mod 256)
+	stage   []byte  // sealed bytes of the batch being appended
 
 	// ImagesWritten counts serialized records appended during the run
 	// (overflow traffic); crash-flush records are counted separately.
@@ -68,16 +69,20 @@ func NewRegionWriter(dev *pm.Device, threads int) *RegionWriter {
 // Threads returns the number of per-thread log areas.
 func (w *RegionWriter) Threads() int { return w.threads }
 
-// seal serializes images sealed with consecutive sequence numbers.
+// seal serializes images sealed with consecutive sequence numbers into
+// the writer's staging buffer. The buffer is reused by the next seal,
+// growing only for a larger batch; the device copies what is written,
+// so nothing holds on to it.
 func (w *RegionWriter) seal(tid int, images []Image) []byte {
-	buf := make([]byte, 0, len(images)*MaxSealedBytes)
-	var scratch [MaxSealedBytes]byte
-	for _, im := range images {
-		n := im.Seal(scratch[:], w.seq[tid])
-		w.seq[tid]++
-		buf = append(buf, scratch[:n]...)
+	if need := len(images) * MaxSealedBytes; len(w.stage) < need {
+		w.stage = make([]byte, need)
 	}
-	return buf
+	n := 0
+	for _, im := range images {
+		n += im.Seal(w.stage[n:], w.seq[tid])
+		w.seq[tid]++
+	}
+	return w.stage[:n]
 }
 
 // Append serializes the images into thread tid's log area through the

@@ -346,13 +346,15 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 			m.aud.CheckLogBuffer(core, m.bufDesign.LogBuffer(core), m.bufDesign.MergeEnabled(), op.Addr)
 		}
 		if m.inTx[core] {
-			if e := m.shadow.getOrInsert(op.Addr); e.flags&shadowHasBaseline == 0 {
+			e, idx := m.shadow.getOrInsert(op.Addr)
+			if e.flags&shadowHasBaseline == 0 {
 				e.baseline = old
 				e.flags |= shadowHasBaseline
 			}
-			m.pending[core].put(op.Addr, op.Data)
+			m.pending[core].put(op.Addr, op.Data, idx)
 		} else {
-			m.shadow.getOrInsert(op.Addr).flags |= shadowUnsafe
+			e, _ := m.shadow.getOrInsert(op.Addr)
+			e.flags |= shadowUnsafe
 		}
 		return sim.Result{Latency: lat + extra}
 	case sim.OpTxBegin:
@@ -396,7 +398,7 @@ func (m *Machine) Exec(core int, op sim.Op, now sim.Cycle) sim.Result {
 			}
 		}
 		for _, kv := range m.pending[core].entries {
-			e := m.shadow.getOrInsert(kv.addr)
+			e := &m.shadow.entries[kv.shadow]
 			e.committed = kv.val
 			e.flags |= shadowHasCommitted
 		}

@@ -30,7 +30,8 @@ type shadowEntry struct {
 }
 
 // shadowTable indexes shadowEntry storage by word address. Entries are
-// never removed. Entry pointers are invalidated by the next getOrInsert.
+// never removed, so an entry's index stays valid until reset; entry
+// pointers are invalidated by the next getOrInsert.
 type shadowTable struct {
 	slots   []int32 // entry index + 1; 0 = empty
 	shift   uint
@@ -59,13 +60,14 @@ func (t *shadowTable) get(addr mem.Addr) *shadowEntry {
 	}
 }
 
-// getOrInsert returns the entry for addr, creating a zeroed one if absent.
-func (t *shadowTable) getOrInsert(addr mem.Addr) *shadowEntry {
+// getOrInsert returns the entry for addr and its index in entries,
+// creating a zeroed entry if absent.
+func (t *shadowTable) getOrInsert(addr mem.Addr) (*shadowEntry, int32) {
 	mask := len(t.slots) - 1
 	i := t.home(addr)
 	for t.slots[i] != 0 {
-		if e := &t.entries[t.slots[i]-1]; e.addr == addr {
-			return e
+		if idx := t.slots[i] - 1; t.entries[idx].addr == addr {
+			return &t.entries[idx], idx
 		}
 		i = (i + 1) & mask
 	}
@@ -79,7 +81,7 @@ func (t *shadowTable) getOrInsert(addr mem.Addr) *shadowEntry {
 	}
 	t.entries = append(t.entries, shadowEntry{addr: addr})
 	t.slots[i] = int32(len(t.entries))
-	return &t.entries[len(t.entries)-1]
+	return &t.entries[len(t.entries)-1], int32(len(t.entries) - 1)
 }
 
 func (t *shadowTable) grow() {
@@ -109,10 +111,13 @@ func (t *shadowTable) memFootprint() int {
 	return cap(t.slots)*4 + cap(t.entries)*32
 }
 
-// txKV is one pending (uncommitted) write: word address and newest value.
+// txKV is one pending (uncommitted) write: word address, newest value,
+// and the index of the word's shadowTable entry, so commit promotion
+// reaches the entry without probing the table again.
 type txKV struct {
-	addr mem.Addr
-	val  mem.Word
+	addr   mem.Addr
+	val    mem.Word
+	shadow int32
 }
 
 // txWrites tracks one core's writes inside the current transaction —
@@ -134,8 +139,8 @@ func (t *txWrites) home(addr mem.Addr) int {
 }
 
 // put records addr := val, overwriting any earlier write of addr in this
-// transaction.
-func (t *txWrites) put(addr mem.Addr, val mem.Word) {
+// transaction; shadow is addr's shadowTable entry index.
+func (t *txWrites) put(addr mem.Addr, val mem.Word, shadow int32) {
 	i := t.home(addr)
 	for t.slots[i] != 0 {
 		if e := &t.entries[t.slots[i]-1]; e.addr == addr {
@@ -151,7 +156,7 @@ func (t *txWrites) put(addr mem.Addr, val mem.Word) {
 			i = (i + 1) & t.mask
 		}
 	}
-	t.entries = append(t.entries, txKV{addr: addr, val: val})
+	t.entries = append(t.entries, txKV{addr: addr, val: val, shadow: shadow})
 	t.slots[i] = int32(len(t.entries))
 	t.touched = append(t.touched, int32(i))
 }

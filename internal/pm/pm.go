@@ -337,7 +337,9 @@ func (d *Device) Write(arrival sim.Cycle, addr mem.Addr, data []byte) (accept, f
 	if accept > d.now {
 		d.now = accept
 	}
-	d.tel.WPQWrite(ch, accept, q.Occupancy(accept), accept-arrival, len(data))
+	if d.tel != nil { // the depth argument is work; skip it with the probe off
+		d.tel.WPQWrite(ch, accept, q.Occupancy(accept), accept-arrival, len(data))
+	}
 	d.apply(addr, data)
 	return accept, finish
 }
@@ -624,7 +626,14 @@ func (d *Device) Erase(addr mem.Addr, n int) {
 			}
 		}
 	}
-	d.Populate(addr, make([]byte, n))
+	// No buffer line overlaps the range now, so zeroing the media lines
+	// is all Populate would do.
+	for a, end := addr, addr+mem.Addr(n); a < end; {
+		off := a.LineOffset()
+		k := min(mem.LineSize-off, int(end-a))
+		clear(d.mediaLine(a.Line())[off : off+k])
+		a += mem.Addr(k)
+	}
 }
 
 // DrainAll flushes every on-PM buffer line to the media in address

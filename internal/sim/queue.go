@@ -71,14 +71,27 @@ func (q *ServiceQueue) Reset() {
 }
 
 // Occupancy returns how many entries are still draining at time t.
+//
+// Read from head onward, the ring's finish times never decrease: each is
+// max(accept, last) + service with service ≥ 0, and a Reset zeroes them
+// all. So a binary search for the first slot finishing after t counts
+// the draining entries in log2(capacity) probes (7 for the WPQ's 64)
+// instead of a scan of every slot; the PM read path asks on every read.
 func (q *ServiceQueue) Occupancy(t Cycle) int {
-	n := 0
-	for _, f := range q.ring {
-		if f > t {
-			n++
+	lo, hi := 0, q.capacity // slot positions counted from head
+	for lo < hi {
+		mid := (lo + hi) / 2
+		i := q.head + mid
+		if i >= q.capacity {
+			i -= q.capacity
+		}
+		if q.ring[i] > t {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return n
+	return q.capacity - lo
 }
 
 // DrainedBy returns the time by which everything accepted so far has

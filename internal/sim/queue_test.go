@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -120,5 +121,45 @@ func TestServiceQueueProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// linearOccupancy is the reference Occupancy: a count over every slot.
+func linearOccupancy(q *ServiceQueue, t Cycle) int {
+	n := 0
+	for _, f := range q.ring {
+		if f > t {
+			n++
+		}
+	}
+	return n
+}
+
+// Occupancy's binary search relies on the ring's finish times never
+// decreasing from head onward. Random Accept sequences — bursts, gaps,
+// zero service times, a Reset partway — must keep it equal to the
+// linear count at every probe time around every finish time.
+func TestServiceQueueOccupancyMatchesLinearCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 3, 64} {
+		for trial := 0; trial < 20; trial++ {
+			q := NewServiceQueue(capacity)
+			now := Cycle(0)
+			for step := 0; step < 400; step++ {
+				if step == 200 {
+					q.Reset()
+					now = 0
+				}
+				now += Cycle(rng.Intn(40))
+				_, finish := q.Accept(now, Cycle(rng.Intn(30)))
+				for _, probe := range []Cycle{-1, 0, now - 1, now, now + 1, finish - 1, finish, finish + 1,
+					now + Cycle(rng.Intn(2000)), q.DrainedBy()} {
+					if got, want := q.Occupancy(probe), linearOccupancy(q, probe); got != want {
+						t.Fatalf("capacity %d trial %d step %d: Occupancy(%d) = %d, linear count %d (ring %v, head %d)",
+							capacity, trial, step, probe, got, want, q.ring, q.head)
+					}
+				}
+			}
+		}
 	}
 }
